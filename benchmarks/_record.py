@@ -38,6 +38,7 @@ def record(group: str, name: str, **metrics: Any) -> Path:
     floats are rounded to 6 digits to keep diffs readable.
     """
     path = bench_path(group)
+    path.parent.mkdir(parents=True, exist_ok=True)
     existing: dict[str, Any] = {}
     if path.exists():
         try:

@@ -29,15 +29,14 @@ from .base import (
     rows_values,
     run_with_budget_guard,
 )
+from .retrieved import RetrievedSet
 from .baseline import baseline_skyline, crawl_all
 from .dominance import (
     dominates,
     dominates_row,
     dominator_counts,
     skyband_indices,
-    skyband_of_rows,
     skyline_indices,
-    skyline_of_rows,
 )
 from .adaptive import AdaptiveWindow
 from .engine import (
@@ -100,6 +99,7 @@ __all__ = [
     "QueryEngine",
     "SerialStrategy",
     "QueryLogSummary",
+    "RetrievedSet",
     "SkybandResult",
     "TraceEntry",
     "algorithm_names",
@@ -134,9 +134,7 @@ __all__ = [
     "rq_db_skyband",
     "run_with_budget_guard",
     "skyband_indices",
-    "skyband_of_rows",
     "skyline_indices",
-    "skyline_of_rows",
     "sq_db_sky",
     "sq_db_skyband",
     "summarize_log",

@@ -29,7 +29,6 @@ from ..hiddendb.errors import QueryBudgetExceeded
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
 from ..hiddendb.table import Row
-from .dominance import incremental_skyline_update, skyline_of_rows
 from .engine import (
     EngineStats,
     ExecutionStrategy,
@@ -37,20 +36,13 @@ from .engine import (
     QueryEngine,
     make_strategy,
 )
+from .retrieved import RetrievedSet, TraceEntry
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..freshness import DeltaReport
     from ..store import CrawlStore, SessionRecord
     from .registry import AlgorithmInfo, DiscoveryConfig
     from .skyband import SkybandResult
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    """One point of the anytime discovery curve."""
-
-    cost: int  #: queries issued when the tuple was first retrieved
-    row: Row
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,7 @@ class DiscoverySession:
         self._on_query = on_query
         self._on_tuple = on_tuple
         self._incomplete = False
-        self._first_seen: dict[int, TraceEntry] = {}
+        self._retrieved = RetrievedSet()
         self._log: list[QueryResult] = []
         self._engine = QueryEngine(interface, strategy=strategy, dedup=dedup)
         # Budget accounting is reservation-based so it stays exact under
@@ -313,9 +305,8 @@ class DiscoverySession:
         """
         cost = self.cost
         for row in result.rows:
-            if row.rid not in self._first_seen:
-                entry = TraceEntry(cost, row)
-                self._first_seen[row.rid] = entry
+            entry = self._retrieved.add(row, cost)
+            if entry is not None:
                 if self._store is not None:
                     self._track_skyline(row)
                 if self._on_tuple is not None:
@@ -501,12 +492,21 @@ class DiscoverySession:
         return self._store_session
 
     def _track_skyline(self, row: Row) -> None:
-        """Fold one newly retrieved row into the skyline-so-far tracker."""
-        updated = incremental_skyline_update(
-            self._sky_values, np.asarray(row.values, dtype=np.int64)
-        )
-        if updated is not None:
-            self._sky_values = updated
+        """Fold one newly retrieved row into the skyline-so-far tracker.
+
+        Sound because domination is transitive: a vector dominated now can
+        never re-enter, and identical vectors do not dominate each other, so
+        one copy represents every tie.  O(|skyline| * m) per call.
+        """
+        values = np.asarray(row.values, dtype=np.int64)
+        kept = self._sky_values
+        if kept is None:
+            self._sky_values = values[None, :]
+        elif not np.any(np.all(kept <= values, axis=1)):
+            # Neither dominated nor tied, so every kept vector ``values``
+            # weakly dominates is strictly dominated.
+            beaten = np.all(values <= kept, axis=1)
+            self._sky_values = np.vstack([kept[~beaten], values[None, :]])
 
     def _skyline_snapshot(self) -> list[list[int]]:
         """Distinct skyline-so-far value vectors, sorted (checkpoint view)."""
@@ -525,7 +525,7 @@ class DiscoverySession:
             self._store_session.session_id,
             {
                 "billed": self.cost,
-                "retrieved": len(self._first_seen),
+                "retrieved": len(self._retrieved),
                 "answers": len(self._log),
                 "skyline_size": len(skyline),
                 "skyline": skyline,
@@ -580,38 +580,39 @@ class DiscoverySession:
     # retrieval bookkeeping
     # ------------------------------------------------------------------
     @property
+    def retrieved(self) -> RetrievedSet:
+        """Every distinct tuple retrieved so far (the shared substrate)."""
+        return self._retrieved
+
+    @property
     def retrieved_rows(self) -> list[Row]:
         """All distinct tuples retrieved so far, in first-retrieval order."""
-        return [entry.row for entry in self._first_seen.values()]
+        return self._retrieved.rows
 
     def has_retrieved(self, rid: int) -> bool:
         """Whether the tuple with row id ``rid`` has been retrieved."""
-        return rid in self._first_seen
+        return rid in self._retrieved
 
     def confirmed_skyline(self) -> list[Row]:
         """Skyline of the tuples retrieved so far."""
-        return skyline_of_rows(self.retrieved_rows)
+        return [entry.row for entry in self._retrieved.skyline()]
 
     def result(self, algorithm: str, complete: bool = True) -> DiscoveryResult:
         """Package the session state into a :class:`DiscoveryResult`."""
-        skyline = skyline_of_rows(self.retrieved_rows)
-        skyline_rids = {row.rid for row in skyline}
-        trace = sorted(
-            (
-                entry
-                for entry in self._first_seen.values()
-                if entry.row.rid in skyline_rids
-            ),
-            key=lambda entry: (entry.cost, entry.row.rid),
-        )
+        skyline = self._retrieved.skyline()
         return DiscoveryResult(
             algorithm=algorithm,
             skyline=tuple(
-                sorted(skyline, key=lambda row: (row.values, row.rid))
+                sorted(
+                    (entry.row for entry in skyline),
+                    key=lambda row: (row.values, row.rid),
+                )
             ),
-            trace=tuple(trace),
+            trace=tuple(
+                sorted(skyline, key=lambda entry: (entry.cost, entry.row.rid))
+            ),
             total_cost=self.cost,
-            retrieved=tuple(self.retrieved_rows),
+            retrieved=tuple(self._retrieved.rows),
             complete=complete and not self._incomplete,
             stats=self._engine.snapshot(),
         )

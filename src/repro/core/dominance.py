@@ -16,7 +16,7 @@ each other (the paper's general-positioning convention).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,24 +39,17 @@ def dominates_row(left: Row, right: Row) -> bool:
     return dominates(left.values, right.values)
 
 
-def dominated_by_any(values: Sequence[int], rows: Iterable[Row]) -> bool:
-    """Whether any row in ``rows`` dominates the value vector ``values``."""
-    return any(dominates(row.values, values) for row in rows)
+#: Candidates tested together, and kept skyline vectors tested against them
+#: at a time (strongest first: the kept skyline is in coordinate-sum order).
+_BLOCK, _KEPT_PIECE = 512, 256
 
 
-def _dominated_by_block(chunk: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Mask of ``chunk`` rows dominated by at least one row of ``kept``.
-
-    Broadcast in sub-blocks of ``kept`` to bound peak memory at roughly
-    ``block * len(chunk) * m`` elements.
-    """
-    mask = np.zeros(chunk.shape[0], dtype=bool)
-    block = max(1, 8_000_000 // max(chunk.shape[0] * chunk.shape[1], 1))
-    for start in range(0, kept.shape[0], block):
-        piece = kept[start : start + block]
-        weakly = np.all(piece[:, None, :] <= chunk[None, :, :], axis=2)
-        strictly = np.any(piece[:, None, :] < chunk[None, :, :], axis=2)
-        mask |= np.any(weakly & strictly, axis=0)
+def _weakly_dominated(kept: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``(s, b)`` mask: column ``i`` of ``kept`` is ``<=`` column ``j`` of
+    ``block`` on every attribute (both ``(m, .)``, one row per attribute)."""
+    mask = kept[0][:, None] <= block[0][None, :]
+    for attribute in range(1, kept.shape[0]):
+        mask &= kept[attribute][:, None] <= block[attribute][None, :]
     return mask
 
 
@@ -65,120 +58,59 @@ def skyline_indices(matrix: np.ndarray) -> np.ndarray:
 
     Sort-filter-skyline over the *distinct* value vectors: vectors are
     visited in ascending coordinate-sum order (no vector can be dominated by
-    a later one) in chunks, each chunk first filtered against the kept
-    skyline in one vectorised pass and only the survivors compared pairwise.
+    a later one) in blocks, each block first filtered against the kept
+    skyline and then against itself.  Between distinct vectors weak
+    dominance is strict dominance, so one ``<=`` mask decides both tests.
     Duplicated vectors do not dominate each other, so every row carrying a
     skyline vector is on the skyline.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    n = matrix.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
+    if 0 in matrix.shape:
+        # No rows, or no attributes: every row ties with every other.
+        return np.arange(matrix.shape[0], dtype=np.int64)
     unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
     order = np.argsort(unique.sum(axis=1), kind="stable")
-    sorted_values = unique[order]
-    kept_rows: list[np.ndarray] = []
-    kept_values = np.empty((0, matrix.shape[1]), dtype=matrix.dtype)
-    chunk_size = 4096
-    for start in range(0, sorted_values.shape[0], chunk_size):
-        chunk = sorted_values[start : start + chunk_size]
-        # Two-pass filter: most tuples die against the strongest (lowest
-        # coordinate-sum) skyline points, so test those first and run the
-        # full comparison only for the survivors.
-        strongest = kept_values[:192]
-        alive = ~_dominated_by_block(chunk, strongest)
-        if kept_values.shape[0] > strongest.shape[0] and bool(alive.any()):
-            survivors = chunk[alive]
-            alive_positions = np.flatnonzero(alive)
-            still = ~_dominated_by_block(survivors, kept_values[192:])
-            alive = np.zeros(chunk.shape[0], dtype=bool)
-            alive[alive_positions[still]] = True
-        fresh: list[np.ndarray] = []
-        fresh_values = np.empty((0, matrix.shape[1]), dtype=matrix.dtype)
-        for candidate in chunk[alive]:
-            if fresh_values.shape[0]:
-                weakly = np.all(fresh_values <= candidate, axis=1)
-                strictly = np.any(fresh_values < candidate, axis=1)
-                if bool(np.any(weakly & strictly)):
-                    continue
-            fresh.append(candidate)
-            fresh_values = np.vstack([fresh_values, candidate[None, :]])
-        if fresh:
-            kept_rows.extend(fresh)
-            kept_values = np.vstack([kept_values] + [f[None, :] for f in fresh])
-    if not kept_rows:
-        return np.empty(0, dtype=np.int64)
-    # Map skyline vectors back to every original row carrying one of them.
-    skyline_set = {tuple(int(v) for v in row) for row in kept_rows}
-    unique_is_skyline = np.fromiter(
-        (tuple(int(v) for v in row) in skyline_set for row in unique),
-        dtype=bool,
-        count=unique.shape[0],
-    )
-    return np.flatnonzero(unique_is_skyline[inverse])
-
-
-def incremental_skyline_update(
-    skyline_values: np.ndarray | None, values: np.ndarray
-) -> np.ndarray | None:
-    """Fold one value vector into an incrementally maintained skyline.
-
-    ``skyline_values`` is the current skyline's (s, m) distinct-vector
-    matrix (``None`` when empty); returns the updated matrix, or ``None``
-    when nothing changed (``values`` is dominated by -- or ties -- a kept
-    vector).  Sound because domination is transitive: a vector dominated
-    now can never re-enter, and identical vectors do not dominate each
-    other, so one copy represents every tie.  O(s * m) per call.
-    """
-    if skyline_values is None:
-        return values[None, :]
-    # A kept vector weakly dominating ``values`` means ``values`` is
-    # either strictly dominated or an exact tie; both are already covered.
-    if bool(np.any(np.all(skyline_values <= values, axis=1))):
-        return None
-    keep = ~(
-        np.all(values <= skyline_values, axis=1)
-        & np.any(values < skyline_values, axis=1)
-    )
-    return np.vstack([skyline_values[keep], values[None, :]])
-
-
-def skyline_of_rows(rows: Sequence[Row]) -> list[Row]:
-    """Skyline of an explicit row collection, preserving input order."""
-    if not rows:
-        return []
-    matrix = np.array([row.values for row in rows], dtype=np.int64)
-    keep = set(skyline_indices(matrix).tolist())
-    return [row for position, row in enumerate(rows) if position in keep]
+    columns = np.ascontiguousarray(unique.T)
+    kept = np.empty((unique.shape[1], 0), dtype=unique.dtype)
+    on_skyline = np.zeros(unique.shape[0], dtype=bool)
+    for start in range(0, order.size, _BLOCK):
+        # By transitivity, testing against the kept skyline and the block's
+        # own members is exact.
+        block = order[start : start + _BLOCK]
+        for piece in range(0, kept.shape[1], _KEPT_PIECE):
+            strong = kept[:, piece : piece + _KEPT_PIECE]
+            block = block[~_weakly_dominated(strong, columns[:, block]).any(axis=0)]
+        own = columns[:, block]
+        beaten = _weakly_dominated(own, own)
+        np.fill_diagonal(beaten, False)
+        block = block[~beaten.any(axis=0)]
+        on_skyline[block] = True
+        kept = np.concatenate([kept, columns[:, block]], axis=1)
+    return np.flatnonzero(on_skyline[inverse.reshape(-1)])
 
 
 def dominator_counts(matrix: np.ndarray, cap: int | None = None) -> np.ndarray:
     """Number of tuples dominating each row (counts clip at ``cap``).
 
-    Visits tuples in ascending coordinate-sum order: only earlier tuples can
-    dominate a later one, so each row is compared against a growing prefix.
-    Quadratic in the worst case -- intended for ground-truth verification and
-    moderate ``n``, not for the inner loop of an algorithm.
+    Rows are visited in ascending coordinate-sum order, in blocks compared
+    against the prefix that can dominate them: ``t`` dominates ``u`` iff
+    ``t <= u`` everywhere and not ``u <= t`` everywhere.
     """
     matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    if n == 0:
+    counts = np.zeros(matrix.shape[0], dtype=np.int64)
+    if 0 in matrix.shape:
         return counts
     order = np.argsort(matrix.sum(axis=1), kind="stable")
-    sorted_values = matrix[order]
-    for position in range(1, n):
-        candidate = sorted_values[position]
-        prefix = sorted_values[:position]
-        weakly_better = np.all(prefix <= candidate, axis=1)
-        strictly_better = np.any(prefix < candidate, axis=1)
-        count = int(np.count_nonzero(weakly_better & strictly_better))
-        if cap is not None:
-            count = min(count, cap)
-        counts[order[position]] = count
-    return counts
+    columns = np.ascontiguousarray(matrix[order].T)
+    for start in range(0, order.size, _BLOCK):
+        end = start + _BLOCK
+        prefix, block = columns[:, :end], columns[:, start:end]
+        beaten = _weakly_dominated(prefix, block)
+        beaten &= ~_weakly_dominated(block, prefix).T
+        counts[order[start:end]] = beaten.sum(axis=0)
+    return counts if cap is None else np.minimum(counts, cap)
 
 
 def skyband_indices(matrix: np.ndarray, k_band: int) -> np.ndarray:
@@ -191,12 +123,3 @@ def skyband_indices(matrix: np.ndarray, k_band: int) -> np.ndarray:
         raise ValueError(f"k_band must be >= 1, got {k_band}")
     counts = dominator_counts(matrix, cap=k_band)
     return np.flatnonzero(counts < k_band)
-
-
-def skyband_of_rows(rows: Sequence[Row], k_band: int) -> list[Row]:
-    """Top-``k_band`` skyband of an explicit row collection."""
-    if not rows:
-        return []
-    matrix = np.array([row.values for row in rows], dtype=np.int64)
-    keep = set(skyband_indices(matrix, k_band).tolist())
-    return [row for position, row in enumerate(rows) if position in keep]

@@ -28,6 +28,8 @@ import math
 import warnings
 from typing import Sequence
 
+import numpy as np
+
 from ..hiddendb.attributes import InterfaceKind
 from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.interface import QueryResult
@@ -94,12 +96,13 @@ def _prune_from_retrieved(
     y_attr: int,
 ) -> None:
     """Apply the domination rule from every tuple retrieved so far."""
-    for row in session.retrieved_rows:
-        values = row.values
-        if all(values[o] <= combo[j] for j, o in enumerate(others)):
-            in_plane = all(values[o] == combo[j] for j, o in enumerate(others))
-            state.add_dominator(values[x_attr], values[y_attr], in_plane,
-                                rid=row.rid)
+    retrieved = session.retrieved
+    rest = retrieved.values[:, others]
+    below = np.flatnonzero(np.all(rest <= combo, axis=1))
+    in_plane = np.all(rest[below] == combo, axis=1).tolist()
+    points = retrieved.values[below][:, [x_attr, y_attr]].tolist()
+    for (x, y), inside, rid in zip(points, in_plane, retrieved.rids[below].tolist()):
+        state.add_dominator(x, y, inside, rid=rid)
 
 
 def pq_db_sky(

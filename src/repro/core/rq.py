@@ -36,7 +36,6 @@ from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.query import Query
 from ..hiddendb.table import Row
 from .base import DiscoveryResult, DiscoverySession, run_with_budget_guard
-from .dominance import dominates
 from .registry import DiscoveryConfig, register_algorithm
 
 ALGORITHM_NAME = "RQ-DB-SKY"
@@ -98,9 +97,9 @@ def rq_db_sky(
         these receive exclusion (``>=``) predicates.  Defaults to all branch
         attributes (the pure RQ-DB case).
     early_termination:
-        The seen-tuple check of Algorithm 2 (line 3).  Disabling it is the
-        ablation of DESIGN.md -- the traversal then issues every one-ended
-        query like SQ-DB-SKY would.
+        The seen-tuple check of Algorithm 2 (line 3).  Disabling it ablates
+        the early termination of §4 -- the traversal then issues every
+        one-ended query like SQ-DB-SKY would.
     root:
         Query at the tree root; defaults to ``SELECT *``.
     """
@@ -127,12 +126,11 @@ def rq_db_sky(
     # the skyband extension's repeated subspace trees dedupe), but a
     # pipelined strategy gains no concurrency here by design.
     frontier = session.frontier()
+    retrieved = session.retrieved
     stack: list[tuple[Query, Query]] = [(base, base)]
     while stack:
         sq_query, rq_query = stack.pop()
-        seen_match = early_termination and any(
-            sq_query.matches_row(row) for row in session.retrieved_rows
-        )
+        seen_match = early_termination and retrieved.any_match(sq_query)
         if not seen_match:
             # No retrieved tuple matches q: issue the one-ended query itself.
             # Its region is downward-closed, so the top tuple is on the
@@ -150,21 +148,13 @@ def rq_db_sky(
                 # R(q) underflowed: every tuple in the uncovered part of q's
                 # region has been retrieved; subtree exhausted.
                 continue
-            top = result.top
-            pivot = top
             # The top of R(q) may be dominated (its region is not
-            # downward-closed); branch on a dominating known tuple instead.
-            # The dominator must itself match q: when the tree is rooted at a
-            # subspace (skyband recursion), a dominating tuple from outside
-            # the subspace must not prune subspace-skyline tuples.
-            for row in session.retrieved_rows:
-                if (
-                    row.rid != top.rid
-                    and sq_query.matches_row(row)
-                    and dominates(row.values, top.values)
-                ):
-                    pivot = row
-                    break
+            # downward-closed); branch on the first-retrieved dominating
+            # tuple instead.  The dominator must itself match q: when the
+            # tree is rooted at a subspace (skyband recursion), a dominating
+            # tuple from outside it must not prune subspace-skyline tuples.
+            dominator = retrieved.first_dominator(result.top, within=sq_query)
+            pivot = result.top if dominator is None else dominator
         for child in reversed(
             _children(
                 session, sq_query, rq_query, pivot, branch_attributes,

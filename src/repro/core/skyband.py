@@ -36,7 +36,7 @@ from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
 from ..hiddendb.table import Row
 from .base import DiscoverySession
-from .dominance import skyband_of_rows
+from .dominance import dominator_counts
 from .pq import pq_db_sky
 from .registry import DiscoveryConfig, attach_skyband
 from .rq import rq_db_sky
@@ -107,18 +107,17 @@ def _finish(
     complete: bool,
     config: DiscoveryConfig | None = None,
 ) -> SkybandResult:
-    retrieved = session.retrieved_rows
     result = SkybandResult(
         algorithm=algorithm,
         band=band,
         skyband=tuple(
             sorted(
-                skyband_of_rows(retrieved, band),
+                (entry.row for entry in session.retrieved.skyband(band)),
                 key=lambda row: (row.values, row.rid),
             )
         ),
         total_cost=session.cost,
-        retrieved=tuple(retrieved),
+        retrieved=tuple(session.retrieved_rows),
         complete=complete,
         query_log=session.log if config is not None and config.record_log else (),
         stats=session.engine_stats,
@@ -208,9 +207,11 @@ def _expansion_candidates(
     """Retrieved tuples on the top-(band-1) skyband not yet expanded."""
     if band == 1:
         return []
-    retrieved = session.retrieved_rows
-    frontier = skyband_of_rows(retrieved, band - 1)
-    return [row for row in frontier if row.rid not in expanded]
+    return [
+        entry.row
+        for entry in session.retrieved.skyband(band - 1)
+        if entry.row.rid not in expanded
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -289,12 +290,8 @@ def _band_pivot(rows: tuple[Row, ...], band: int) -> Row | None:
     if band == 1:
         return rows[0]
     values = np.array([row.values for row in rows], dtype=np.int64)
-    for position, row in enumerate(rows):
-        weakly = np.all(values <= values[position], axis=1)
-        strictly = np.any(values < values[position], axis=1)
-        if int(np.count_nonzero(weakly & strictly)) >= band - 1:
-            return row
-    return None
+    hits = np.flatnonzero(dominator_counts(values) >= band - 1)
+    return rows[int(hits[0])] if hits.size else None
 
 
 __all__ = [

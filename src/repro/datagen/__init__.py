@@ -2,8 +2,8 @@
 
 Every generator returns a :class:`~repro.hiddendb.table.Table` whose schema
 reproduces the interface taxonomy, domain sizes and attribute correlations
-of the corresponding data source in the paper (see DESIGN.md §2.3 for the
-substitution rationale):
+of the corresponding data source in the paper's experimental setup (§8.1
+for the offline datasets, §8.3 for the live web databases):
 
 * :mod:`~repro.datagen.synthetic` -- micro-benchmark distributions
   (independent / correlated / anti-correlated, plus the Figure-6

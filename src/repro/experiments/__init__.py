@@ -6,8 +6,8 @@ with ``python -m repro.experiments`` or individually, e.g.::
 
     python -m repro.experiments.fig13_impact_k
 
-The per-experiment index mapping figures to modules lives in DESIGN.md;
-paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+Each module is named after the figure of the paper's experimental
+evaluation (§8) it reproduces: ``figNN_<topic>`` regenerates Figure NN.
 """
 
 from . import (

@@ -88,7 +88,7 @@ class Query:
     The empty query is the paper's ``SELECT * FROM D``.
     """
 
-    __slots__ = ("_ranges", "_filters", "_key", "_canonical", "_fingerprint")
+    __slots__ = ("_ranges", "_filters", "_canonical", "_fingerprint")
 
     def __init__(
         self,
@@ -97,10 +97,6 @@ class Query:
     ) -> None:
         self._ranges: dict[int, Interval] = dict(ranges or {})
         self._filters: dict[str, int] = dict(filters or {})
-        self._key = (
-            tuple(sorted(self._ranges.items(), key=lambda kv: kv[0])),
-            tuple(sorted(self._filters.items())),
-        )
         self._canonical: str | None = None  # canonical_key(), lazily built
         self._fingerprint: str | None = None  # query_fingerprint(), ditto
 
@@ -288,10 +284,10 @@ class Query:
         matter how they were built: attribute order, ``numpy`` integer
         scalars, integral floats and tuple-vs-list inputs all normalise
         away.  This is the *one* key scheme shared by every layer that
-        identifies queries -- the execution engine's dedup memo, the
-        remote client's LRU cache, the crawl store's query ledger and the
-        billing-safe ``X-Request-Id`` replay ids -- so those layers can
-        never disagree about whether two queries are the same.
+        identifies queries -- ``==`` and ``hash``, the execution engine's
+        dedup memo, the remote client's LRU cache, the crawl store's query
+        ledger and the billing-safe ``X-Request-Id`` replay ids -- so those
+        layers can never disagree about whether two queries are the same.
 
         Built once per instance (it sits on the per-query hot path: memo
         lookups, ledger gets and puts all key on it).
@@ -314,10 +310,10 @@ class Query:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Query):
             return NotImplemented
-        return self._key == other._key
+        return self.canonical_key() == other.canonical_key()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.canonical_key())
 
     def __repr__(self) -> str:
         parts = [f"A{index}{interval}" for index, interval in sorted(self._ranges.items())]

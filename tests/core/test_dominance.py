@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.dominance import (
-    dominated_by_any,
     dominates,
     dominates_row,
     dominator_counts,
     skyband_indices,
-    skyband_of_rows,
     skyline_indices,
-    skyline_of_rows,
 )
 from repro.hiddendb import Row
 
@@ -34,11 +31,6 @@ class TestDominates:
 
     def test_row_wrapper(self):
         assert dominates_row(Row(0, (0, 0)), Row(1, (1, 1)))
-
-    def test_dominated_by_any(self):
-        rows = [Row(0, (1, 1)), Row(1, (3, 0))]
-        assert dominated_by_any((2, 2), rows)
-        assert not dominated_by_any((0, 0), rows)
 
 
 class TestSkylineIndices:
@@ -84,7 +76,7 @@ class TestSkylineIndices:
         assert set(skyline_indices(matrix).tolist()) == naive
 
     def test_large_chunked_path(self):
-        # Exceed the 4096 chunk size to exercise the multi-chunk code path.
+        # Many 512-candidate blocks: exercises the multi-block code path.
         rng = np.random.default_rng(1)
         matrix = rng.integers(0, 50, (10_000, 3))
         indices = skyline_indices(matrix)
@@ -95,15 +87,6 @@ class TestSkylineIndices:
                 for other in sky
                 if not np.array_equal(other, candidate)
             )
-
-
-class TestSkylineOfRows:
-    def test_preserves_input_order(self):
-        rows = [Row(7, (5, 5)), Row(3, (0, 9)), Row(9, (6, 6))]
-        assert [r.rid for r in skyline_of_rows(rows)] == [7, 3]
-
-    def test_empty(self):
-        assert skyline_of_rows([]) == []
 
 
 class TestDominatorCounts:
@@ -142,8 +125,3 @@ class TestSkyband:
     def test_band_must_be_positive(self):
         with pytest.raises(ValueError):
             skyband_indices(np.array([[1]]), 0)
-
-    def test_skyband_of_rows(self):
-        rows = [Row(0, (0, 0)), Row(1, (1, 1)), Row(2, (2, 2))]
-        assert [r.rid for r in skyband_of_rows(rows, 2)] == [0, 1]
-        assert skyband_of_rows([], 2) == []
