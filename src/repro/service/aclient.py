@@ -1,34 +1,31 @@
 """Asyncio remote search endpoint: non-blocking client for the service.
 
-:class:`AsyncRemoteTopKInterface` is the event-loop twin of
-:class:`~repro.service.client.RemoteTopKInterface`: it speaks the exact
-same JSON wire format (:mod:`repro.service.wire`) against the exact same
-server, but over **non-blocking sockets** driven by one asyncio event
-loop, so hundreds of queries can be in flight without a thread apiece.
-It implements the
-:class:`~repro.hiddendb.endpoint.AsyncSearchEndpoint` protocol (plus a
-blocking ``query()`` bridge, so it also satisfies the classic
-:class:`~repro.hiddendb.endpoint.SearchEndpoint` and drops into serial
-strategies unchanged) and shares the sync client's entire
-transport-independent core
-(:class:`~repro.service.client.QueryClientCore`): the never-billed LRU
-query cache and crawl-store ledger mount, deterministic ``X-Request-Id``
-replay derivation, retry/backoff classification and telemetry -- one
-implementation, two transports, so the billing semantics cannot drift.
+:class:`AsyncRemoteTopKInterface` speaks the JSON wire format
+(:mod:`repro.service.wire`) over **non-blocking sockets** driven by one
+asyncio event loop, so hundreds of queries can be in flight without a
+thread apiece.  It implements the
+:class:`~repro.hiddendb.endpoint.AsyncSearchEndpoint` protocol (plus the
+blocking ``query()`` / ``batch_query()`` bridge, so it also satisfies the
+classic :class:`~repro.hiddendb.endpoint.SearchEndpoint` and drops into
+serial strategies unchanged).
 
-Transport specifics:
+It owns no query semantics.  The cache and ledger mount, replay ids,
+retry and backoff, response classification and the batch rounds are the
+flows of :class:`~repro.service.client.QueryClientCore`, the same ones
+the blocking :class:`~repro.service.client.RemoteTopKInterface` runs.
+This module is only the transport that performs their effects:
 
+* **an asyncio trampoline** -- ``_drive`` sends each ``Send`` effect over
+  a pooled connection and awaits each ``Sleep`` (``asyncio.sleep`` by
+  default);
 * **connection pooling** -- keep-alive HTTP/1.1 connections are pooled on
   the client's private event loop and reused across queries; concurrent
   in-flight queries each hold one connection and return it on completion;
 * **minimal HTTP parsing** -- responses are read with a purpose-built
   status-line / headers / ``Content-Length`` parser instead of the stdlib
   ``http.client`` machinery, which is a measurable per-query saving at
-  high concurrency (this is the "specialise the execution substrate"
-  argument: the wire format is fixed and simple, so the client does the
-  minimum work the format requires);
-* **retry with exponential backoff** -- identical policy and error mapping
-  to the sync client, with ``asyncio.sleep`` instead of blocking sleeps;
+  high concurrency (the wire format is fixed and simple, so the client
+  does the minimum work the format requires);
 * **event-loop affinity** -- all I/O runs on one
   :class:`~repro.hiddendb.endpoint.EventLoopRunner` owned by the client,
   so pooled connections stay valid for the client's whole lifetime and
@@ -41,27 +38,14 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-import json
 import socket
-from typing import Any, Awaitable, Callable, Mapping, Sequence
+from typing import Any, Awaitable, Callable, Sequence
 
 from ..hiddendb.endpoint import EventLoopRunner
-from ..hiddendb.errors import HiddenDBError
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
-from .client import (
-    QueryClientCore,
-    RemoteServiceError,
-    _parse_retry_after,
-    _Retriable,
-)
+from .client import Flow, QueryClientCore, Send, Sleep, _Retriable
 from .server import ANONYMOUS_KEY
-from .wire import (
-    decode_answer,
-    decode_batch_answer,
-    encode_batch_request,
-    encode_query,
-)
 
 #: Idle keep-alive connections retained per client.
 DEFAULT_POOL_SIZE = 128
@@ -133,7 +117,7 @@ class AsyncRemoteTopKInterface(QueryClientCore):
         self._closed = False
         try:
             self._apply_metadata(
-                self._runner.run(self._arequest("GET", "/api/schema"))
+                self._run(self._request_flow("GET", "/api/schema"))
             )
         except BaseException:
             # A failed bootstrap must not leak the loop thread (callers
@@ -149,71 +133,21 @@ class AsyncRemoteTopKInterface(QueryClientCore):
 
         Awaitable from any event loop; the I/O runs on the client's own
         loop.  Semantics -- caching, billing, retry, error mapping,
-        request-id replay -- are identical to the sync client's
-        ``query()``.
+        request-id replay -- are the shared ``query()`` flow's.
         """
-        return await self._marshal(self._aquery(query))
+        return await self._marshal(self._drive(self._query_flow(query)))
 
     async def abatch_query(
         self, queries: Sequence[Query]
     ) -> tuple[QueryResult, ...]:
         """Answer several independent queries in one ``/api/batch`` trip.
 
-        Per-item semantics and the ``partial_results`` contract match the
-        sync client's ``batch_query`` exactly.
+        Per-item semantics and the ``partial_results`` contract are the
+        shared ``batch_query()`` flow's.
         """
-        return await self._marshal(self._abatch_query(list(queries)))
-
-    # ------------------------------------------------------------------
-    # blocking bridge (SearchEndpoint compatibility)
-    # ------------------------------------------------------------------
-    def query(self, query: Query) -> QueryResult:
-        """Blocking twin of :meth:`aquery` (serial strategies, tooling)."""
-        return self._runner.run(self._aquery(query))
-
-    def batch_query(self, queries: Sequence[Query]) -> tuple[QueryResult, ...]:
-        """Blocking twin of :meth:`abatch_query`."""
-        return self._runner.run(self._abatch_query(list(queries)))
-
-    def server_stats(self) -> dict[str, Any]:
-        """The service's ``/api/stats`` payload (billing counters)."""
-        return self._runner.run(self._arequest("GET", "/api/stats"))
-
-    def healthz(self) -> dict[str, Any]:
-        """The service's ``/healthz`` payload (liveness + fingerprint)."""
-        return self._runner.run(self._arequest("GET", "/healthz"))
-
-    def refresh_data_version(self) -> int:
-        """Re-read the endpoint's data version over ``/healthz`` (free)."""
-        payload = self.healthz()
-        self._note_data_version(
-            {"X-Data-Version": str(payload.get("data_version", 0))}
+        return await self._marshal(
+            self._drive(self._batch_flow(list(queries)))
         )
-        return self._data_version
-
-    def mutate(
-        self,
-        ops: Sequence[Mapping[str, Any]] | None = None,
-        *,
-        churn: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """Apply an operator mutation batch via ``POST /api/mutate``.
-
-        Blocking (operator tooling, not crawl hot path); semantics match
-        the sync client's ``mutate`` exactly.
-        """
-        if (ops is None) == (churn is None):
-            raise ValueError("exactly one of ops or churn is required")
-        body: dict[str, Any] = (
-            {"ops": list(ops)} if ops is not None else {"churn": dict(churn)}
-        )
-        payload = self._runner.run(
-            self._arequest("POST", "/api/mutate", body)
-        )
-        self._note_data_version(
-            {"X-Data-Version": str(payload.get("data_version", 0))}
-        )
-        return payload
 
     def close(self) -> None:
         """Close every pooled connection and stop the client's loop."""
@@ -251,203 +185,47 @@ class AsyncRemoteTopKInterface(QueryClientCore):
             return await coro
         return await asyncio.wrap_future(self._runner.submit(coro))
 
-    async def _asleep(self, seconds: float) -> None:
-        outcome = self._sleep_fn(seconds)
-        if inspect.isawaitable(outcome):
-            await outcome
-
     # ------------------------------------------------------------------
-    # query semantics (mirrors the sync client, awaitable transport)
+    # transport: an asyncio trampoline over pooled connections
     # ------------------------------------------------------------------
-    async def _aquery(self, query: Query) -> QueryResult:
-        cached = self._cache_lookup(query)
-        if cached is not None:
-            return cached
-        # One request id per *logical* query, reused across retries: the
-        # server replays an already-billed answer for a seen id, so a
-        # response lost after billing is never billed twice.  Durable
-        # crawls derive the id from the session nonce + canonical query
-        # key, extending the same guarantee across process restarts.
-        payload = await self._arequest(
-            "POST",
-            "/api/query",
-            {"query": encode_query(query)},
-            request_id=self._request_id(query),
-            trace_id=self._trace_id(query),
-        )
-        rows, overflow, sequence = decode_answer(payload)
-        self._count_billed(query)
-        result = QueryResult(
-            query=query, rows=rows, overflow=overflow, sequence=sequence
-        )
-        self._cache_store(query, result)
-        return result
+    def _run(self, flow: Flow) -> Any:
+        """Blocking bridge: drive ``flow`` on the client's loop."""
+        return self._runner.run(self._drive(flow))
 
-    async def _abatch_query(
-        self, queries: list[Query]
-    ) -> tuple[QueryResult, ...]:
-        if not queries:
-            return ()
-        results: list[QueryResult | None] = [None] * len(queries)
-        pending: list[int] = []
-        for index, query in enumerate(queries):
-            cached = self._cache_lookup(query)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
-        if pending and not self._supports_batch:
-            # Pre-batch server: degrade to per-query dispatch with the
-            # same first-terminal-failure / partial_results contract.
+    async def _drive(self, flow: Flow) -> Any:
+        reply = failure = None
+        while True:
             try:
-                for index in pending:
-                    results[index] = await self._aquery(queries[index])
-            except HiddenDBError as exc:
-                exc.partial_results = tuple(results)
-                raise
-            return tuple(results)  # type: ignore[return-value]
-        ids = {index: self._request_id(queries[index]) for index in pending}
-        failures: dict[int, Exception] = {}
-        attempt = 0
-        while pending:
-            retry: list[int] = []
-            retry_after: float | None = None
-            for start in range(0, len(pending), self._max_batch):
-                chunk = pending[start : start + self._max_batch]
-                try:
-                    payload = await self._arequest(
-                        "POST",
-                        "/api/batch",
-                        encode_batch_request(
-                            [queries[i] for i in chunk],
-                            [ids[i] for i in chunk],
-                        ),
-                    )
-                    outcomes = decode_batch_answer(payload, len(chunk))
-                except HiddenDBError as exc:
-                    # Transport failed terminally for this chunk; answers
-                    # from earlier chunks/rounds were already folded into
-                    # ``results`` and must not be lost.
-                    exc.partial_results = tuple(results)
-                    raise
-                except ValueError as exc:
-                    wrapped = RemoteServiceError(
-                        f"malformed batch answer: {exc}"
-                    )
-                    wrapped.partial_results = tuple(results)
-                    raise wrapped from None
-                for index, (status, body) in zip(chunk, outcomes):
-                    if status < 400:
-                        rows, overflow, sequence = decode_answer(body)
-                        result = QueryResult(
-                            query=queries[index],
-                            rows=rows,
-                            overflow=overflow,
-                            sequence=sequence,
-                        )
-                        self._count_billed(queries[index])
-                        self._cache_store(queries[index], result)
-                        results[index] = result
-                        continue
-                    exc = self._classify_payload(status, body)
-                    if isinstance(exc, _Retriable):
-                        self._note_throttle(exc)
-                        if exc.retry_after is not None and (
-                            retry_after is None
-                            or exc.retry_after > retry_after
-                        ):
-                            retry_after = exc.retry_after
-                        retry.append(index)
-                    else:
-                        failures[index] = exc
-            if not retry:
-                break
-            if attempt >= self._max_retries:
-                for index in retry:
-                    failures[index] = RemoteServiceError(
-                        f"batch item still failing after "
-                        f"{self._max_retries} retries",
-                    )
-                break
-            self._count_retry()
-            await self._asleep(self._retry_delay(attempt + 1, retry_after))
-            attempt += 1
-            pending = retry
-        if failures:
-            exc = failures[min(failures)]
-            # Aligned-with-holes: billed answers (including ones *after*
-            # the first failing position) stay attached; failed or unsent
-            # items stay None and are the only unbilled slots.
-            exc.partial_results = tuple(results)
-            raise exc
-        return tuple(results)  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # transport (runs on the client's loop)
-    # ------------------------------------------------------------------
-    async def _arequest(
-        self,
-        method: str,
-        path: str,
-        body: Mapping[str, Any] | None = None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        last_status: int | None = None
-        last_reason = "unknown error"
-        retry_after: float | None = None
-        for attempt in range(self._max_retries + 1):
-            if attempt:
-                self._count_retry(trace_id=trace_id)
-                await self._asleep(self._retry_delay(attempt, retry_after))
+                if failure is None:
+                    effect = flow.send(reply)
+                else:
+                    effect = flow.throw(failure)
+            except StopIteration as done:
+                return done.value
+            reply = failure = None
+            if type(effect) is Sleep:
+                outcome = self._sleep_fn(effect.seconds)
+                if inspect.isawaitable(outcome):
+                    await outcome
+                continue
             try:
-                return await self._asend(method, path, body, request_id,
-                                         trace_id)
+                reply = await self._exchange(effect)
             except _Retriable as exc:
-                last_status = exc.status
-                last_reason = exc.reason
-                retry_after = exc.retry_after
-                self._note_throttle(exc)
-                if self._observer is not None:
-                    self._observer.client_event(
-                        "fault", trace_id=trace_id, status=exc.status,
-                        path=path,
-                    )
-        raise RemoteServiceError(
-            f"{method} {path} still failing after {self._max_retries} "
-            f"retries: {last_reason}",
-            status=last_status,
-        )
+                failure = exc
 
-    async def _asend(
-        self,
-        method: str,
-        path: str,
-        body: Mapping[str, Any] | None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        data = b"" if body is None else json.dumps(body).encode("utf-8")
+    async def _exchange(self, send: Send) -> tuple[int, dict[str, str], bytes]:
+        """One HTTP round trip on a pooled connection."""
+        data = send.body or b""
+        head = f"{send.method} {send.path} HTTP/1.1\r\n"
+        head += f"Host: {self._netloc}\r\n"
+        for name, value in send.headers.items():
+            head += f"{name}: {value}\r\n"
+        head += f"Content-Length: {len(data)}\r\n\r\n"
         held: list[_Connection] = []  # visible to cleanup if we time out
-        if self._observer is not None:
-            self._observer.client_event(
-                "attempt", trace_id=trace_id, path=path
-            )
 
         async def exchange():
             conn = await self._acquire()
             held.append(conn)
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self._netloc}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"X-Api-Key: {self._api_key}\r\n"
-            )
-            if request_id is not None:
-                head += f"X-Request-Id: {request_id}\r\n"
-            if trace_id is not None:
-                head += f"X-Trace-Id: {trace_id}\r\n"
-            head += f"Content-Length: {len(data)}\r\n\r\n"
             conn.writer.write(head.encode("latin-1") + data)
             await conn.writer.drain()
             return await self._read_response(conn.reader)
@@ -483,24 +261,7 @@ class AsyncRemoteTopKInterface(QueryClientCore):
             conn.close()
         else:
             self._release(conn)
-        # Budget headers arrive on error responses too (a 429 reports 0
-        # remaining); record them before classifying the status.
-        self._note_budget(headers)
-        self._note_data_version(headers)
-        if status >= 400:
-            error = self._classify(status, raw)
-            if isinstance(error, _Retriable):
-                hinted = _parse_retry_after(headers.get("retry-after"))
-                if hinted is not None:
-                    error.retry_after = hinted
-            raise error
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise RemoteServiceError(
-                f"malformed response body from {method} {path}: {exc}",
-                status=status,
-            ) from None
+        return status, headers, raw
 
     @staticmethod
     async def _read_response(

@@ -30,6 +30,13 @@ per-item fault retries with stable request ids, falling back to per-query
 dispatch against servers that do not advertise the capability), and every
 connection is thread-local while counters and the cache are lock-guarded,
 so ``workers > 1`` strategies may drive one client from several threads.
+
+The query, batch and retry rules are written once, without I/O, in
+:class:`QueryClientCore`: each is a generator that yields :class:`Send`
+and :class:`Sleep` effects and is sent back each response.  A client
+contributes only the trampoline that performs those effects -- here a
+blocking one over ``http.client``; the asyncio client's over pooled
+non-blocking sockets -- so the two transports cannot bill differently.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import time
 import urllib.parse
 import uuid
 from collections import OrderedDict
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Generator, Mapping, NamedTuple, Sequence
 
 from ..hiddendb.attributes import Schema
 from ..hiddendb.errors import (
@@ -94,6 +101,51 @@ class RemoteServiceError(HiddenDBError):
         self.status = status
 
 
+class _Retriable(Exception):
+    """Internal: a failure worth another attempt.
+
+    ``retry_after`` carries the server's honest shaping deadline in
+    seconds (header on whole responses, ``retry_after`` body field on
+    batch items), ``None`` when the server named none.
+    """
+
+    def __init__(
+        self,
+        reason: str,
+        status: int | None,
+        retry_after: float | None = None,
+    ) -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.status = status
+        self.retry_after = retry_after
+
+
+class Send(NamedTuple):
+    """Effect: send one HTTP request and resume with its response.
+
+    The flow is sent back ``(status, headers, raw_body)``; ``headers``
+    must answer ``get`` for lower-case names (``http.client.HTTPMessage``
+    is case-insensitive, the asyncio parser lower-cases them).  A
+    transport failure is thrown into the flow as ``_Retriable``.
+    """
+
+    method: str
+    path: str
+    body: bytes | None
+    headers: Mapping[str, str]
+
+
+class Sleep(NamedTuple):
+    """Effect: sleep ``seconds`` (a retry backoff), then resume."""
+
+    seconds: float
+
+
+#: A client flow: yields effects, is sent responses, returns its result.
+Flow = Generator["Send | Sleep", Any, Any]
+
+
 class QueryClientCore:
     """Transport-independent half of a remote hidden-DB client.
 
@@ -101,9 +153,16 @@ class QueryClientCore:
     by blocking sockets (:class:`RemoteTopKInterface`) or an asyncio
     event loop (:class:`~repro.service.aclient.AsyncRemoteTopKInterface`)
     lives here, once: the never-billed LRU query cache and crawl-store
-    ledger mount, deterministic ``X-Request-Id`` replay derivation, error
-    classification, budget-header tracking and the telemetry counters.
-    Subclasses contribute only transport (``_request`` / ``_arequest``).
+    ledger mount, deterministic ``X-Request-Id`` replay derivation, the
+    request retry loop and response classification, the batch
+    chunk/retry rounds with their ``partial_results`` contract,
+    budget- and data-version tracking and the telemetry counters.
+
+    That logic performs no I/O.  It is written as flows -- generators
+    that yield :class:`Send` and :class:`Sleep` effects -- and the public
+    methods hand a flow to :meth:`_run`, the one hook a subclass
+    implements: a trampoline that performs each effect on its transport
+    and sends the response back in.
     """
 
     def _init_core(
@@ -360,36 +419,35 @@ class QueryClientCore:
             return backoff
         return max(backoff, min(hint, RETRY_AFTER_CAP))
 
-    def _note_budget(self, headers: Mapping[str, str]) -> None:
-        remaining = headers.get("X-Budget-Remaining")
+    def _note_budget(self, remaining: str | None) -> None:
+        """Track the ``X-Budget-Remaining`` header value."""
         if remaining is None:
-            remaining = headers.get("x-budget-remaining")
-        if remaining is not None:
-            try:
-                value = int(remaining)
-            except ValueError:
-                return
-            with self._lock:
-                self._budget_remaining = value
+            return
+        try:
+            value = int(remaining)
+        except ValueError:
+            return
+        with self._lock:
+            self._budget_remaining = value
 
-    def _note_data_version(self, headers: Mapping[str, str]) -> None:
-        """Track the endpoint's ``X-Data-Version`` advertisement.
+    def _note_data_version(self, advertised: str | int | None) -> None:
+        """Track the endpoint's advertised data version.
 
-        A version ahead of the one we tracked means the hidden database
-        mutated under us: cached answers may be stale, so the LRU cache
-        is dropped (ledger views stay epoch-pinned and go stale-silent on
-        their own).  Detection is free -- the header rides on answers we
-        paid for anyway.  Replayed answers may carry the *older* version
-        they were billed under; those never roll the tracked version back.
+        It arrives as the ``X-Data-Version`` header of answers, or as the
+        ``data_version`` field of ``/healthz`` and ``/api/mutate``
+        payloads.  A version ahead of the one we tracked means the hidden
+        database mutated under us: cached answers may be stale, so the
+        LRU cache is dropped (ledger views stay epoch-pinned and go
+        stale-silent on their own).  Detection is free -- the header
+        rides on answers we paid for anyway.  Replayed answers may carry
+        the *older* version they were billed under; those never roll the
+        tracked version back.
         """
-        advertised = headers.get("X-Data-Version")
-        if advertised is None:
-            advertised = headers.get("x-data-version")
         if advertised is None:
             return
         try:
             version = int(advertised)
-        except ValueError:
+        except (TypeError, ValueError):
             return
         stale = False
         with self._lock:
@@ -438,6 +496,298 @@ class QueryClientCore:
         except (UnicodeDecodeError, ValueError):
             payload = {}
         return self._classify_payload(status, payload)
+
+    def _decode_response(
+        self,
+        method: str,
+        path: str,
+        status: int,
+        headers: Mapping[str, str],
+        raw: bytes,
+    ) -> dict[str, Any]:
+        """One response -> decoded JSON payload, or the classified error."""
+        # Budget headers arrive on error responses too (a 429 reports 0
+        # remaining); record them before classifying the status.
+        self._note_budget(headers.get("x-budget-remaining"))
+        self._note_data_version(headers.get("x-data-version"))
+        if status >= 400:
+            exc = self._classify(status, raw)
+            if isinstance(exc, _Retriable):
+                hinted = _parse_retry_after(headers.get("retry-after"))
+                if hinted is not None:
+                    exc.retry_after = hinted
+            raise exc
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise RemoteServiceError(
+                f"malformed response body from {method} {path}: {exc}",
+                status=status,
+            ) from None
+
+    # ------------------------------------------------------------------
+    # flows: the client's rules, as generators of Send / Sleep effects
+    # ------------------------------------------------------------------
+    def _run(self, flow: Flow) -> Any:
+        """Drive ``flow`` to completion over this client's transport."""
+        raise NotImplementedError
+
+    def _request_flow(
+        self,
+        method: str,
+        path: str,
+        body: Mapping[str, Any] | None = None,
+        request_id: str | None = None,
+        trace_id: str | None = None,
+    ) -> Flow:
+        """One request, retried on retriable failures -> decoded payload."""
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        headers = {
+            "Content-Type": "application/json",
+            "X-Api-Key": self._api_key,
+        }
+        if request_id is not None:
+            headers["X-Request-Id"] = request_id
+        if trace_id is not None:
+            headers["X-Trace-Id"] = trace_id
+        last = _Retriable("unknown error", status=None)
+        for attempt in range(self._max_retries + 1):
+            if attempt:
+                self._count_retry(trace_id=trace_id)
+                yield Sleep(self._retry_delay(attempt, last.retry_after))
+            if self._observer is not None:
+                self._observer.client_event(
+                    "attempt", trace_id=trace_id, path=path
+                )
+            try:
+                status, response_headers, raw = yield Send(
+                    method, path, data, headers
+                )
+                return self._decode_response(
+                    method, path, status, response_headers, raw
+                )
+            except _Retriable as exc:
+                last = exc
+                self._note_throttle(exc)
+                if self._observer is not None:
+                    self._observer.client_event(
+                        "fault", trace_id=trace_id, status=exc.status,
+                        path=path,
+                    )
+        raise RemoteServiceError(
+            f"{method} {path} still failing after {self._max_retries} "
+            f"retries: {last.reason}",
+            status=last.status,
+        )
+
+    def _fetch_flow(self, query: Query) -> Flow:
+        """Bill one query over the wire (the cache already missed)."""
+        # One request id per *logical* query, reused across retries: the
+        # server replays an already-billed answer for a seen id, so a
+        # response lost after billing is never billed twice.  Durable
+        # crawls derive the id from the session nonce + canonical query
+        # key, extending the same guarantee across process restarts.
+        payload = yield from self._request_flow(
+            "POST",
+            "/api/query",
+            {"query": encode_query(query)},
+            request_id=self._request_id(query),
+            trace_id=self._trace_id(query),
+        )
+        rows, overflow, sequence = decode_answer(payload)
+        self._count_billed(query)
+        result = QueryResult(
+            query=query, rows=rows, overflow=overflow, sequence=sequence
+        )
+        self._cache_store(query, result)
+        return result
+
+    def _query_flow(self, query: Query) -> Flow:
+        """The :meth:`query` rules: cache or ledger first, else billed."""
+        cached = self._cache_lookup(query)
+        if cached is not None:
+            return cached
+        return (yield from self._fetch_flow(query))
+
+    def _batch_flow(self, queries: list[Query]) -> Flow:
+        """The :meth:`batch_query` rules (chunks, retry rounds, holes)."""
+        if not queries:
+            return ()
+        results: list[QueryResult | None] = [None] * len(queries)
+        pending: list[int] = []
+        for index, query in enumerate(queries):
+            cached = self._cache_lookup(query)
+            if cached is not None:
+                results[index] = cached
+            else:
+                pending.append(index)
+        if pending and not self._supports_batch:
+            # Pre-batch server: degrade to per-query dispatch with the
+            # same first-terminal-failure / partial_results contract.
+            try:
+                for index in pending:
+                    results[index] = yield from self._fetch_flow(
+                        queries[index]
+                    )
+            except HiddenDBError as exc:
+                exc.partial_results = tuple(results)
+                raise
+            return tuple(results)
+        ids = {index: self._request_id(queries[index]) for index in pending}
+        failures: dict[int, Exception] = {}
+        attempt = 0
+        while pending:
+            retry: list[int] = []
+            retry_after: float | None = None
+            for start in range(0, len(pending), self._max_batch):
+                chunk = pending[start : start + self._max_batch]
+                try:
+                    payload = yield from self._request_flow(
+                        "POST",
+                        "/api/batch",
+                        encode_batch_request(
+                            [queries[i] for i in chunk],
+                            [ids[i] for i in chunk],
+                        ),
+                    )
+                    outcomes = decode_batch_answer(payload, len(chunk))
+                except HiddenDBError as exc:
+                    # Transport failed terminally for this chunk; answers
+                    # from earlier chunks/rounds were already folded into
+                    # ``results`` and must not be lost.
+                    exc.partial_results = tuple(results)
+                    raise
+                except ValueError as exc:
+                    wrapped = RemoteServiceError(
+                        f"malformed batch answer: {exc}"
+                    )
+                    wrapped.partial_results = tuple(results)
+                    raise wrapped from None
+                for index, (status, body) in zip(chunk, outcomes):
+                    if status < 400:
+                        rows, overflow, sequence = decode_answer(body)
+                        result = QueryResult(
+                            query=queries[index],
+                            rows=rows,
+                            overflow=overflow,
+                            sequence=sequence,
+                        )
+                        self._count_billed(queries[index])
+                        self._cache_store(queries[index], result)
+                        results[index] = result
+                        continue
+                    exc = self._classify_payload(status, body)
+                    if isinstance(exc, _Retriable):
+                        self._note_throttle(exc)
+                        if exc.retry_after is not None and (
+                            retry_after is None
+                            or exc.retry_after > retry_after
+                        ):
+                            retry_after = exc.retry_after
+                        retry.append(index)
+                    else:
+                        failures[index] = exc
+            if not retry:
+                break
+            if attempt >= self._max_retries:
+                for index in retry:
+                    failures[index] = RemoteServiceError(
+                        f"batch item still failing after "
+                        f"{self._max_retries} retries",
+                    )
+                break
+            self._count_retry()
+            yield Sleep(self._retry_delay(attempt + 1, retry_after))
+            attempt += 1
+            pending = retry
+        if failures:
+            exc = failures[min(failures)]
+            # Aligned-with-holes: billed answers (including ones *after*
+            # the first failing position) stay attached; failed or unsent
+            # items stay None and are the only unbilled slots.
+            exc.partial_results = tuple(results)
+            raise exc
+        return tuple(results)
+
+    # ------------------------------------------------------------------
+    # SearchEndpoint surface and service helpers
+    # ------------------------------------------------------------------
+    def query(self, query: Query) -> QueryResult:
+        """Issue one query over the wire (or answer it from the cache).
+
+        Raises
+        ------
+        UnsupportedQueryError
+            The remote interface rejected the query shape.
+        QueryBudgetExceeded
+            This API key's server-side budget is exhausted.
+        RemoteServiceError
+            The service stayed unreachable/faulty past ``max_retries``.
+        """
+        return self._run(self._query_flow(query))
+
+    def batch_query(self, queries: Sequence[Query]) -> tuple[QueryResult, ...]:
+        """Answer several independent queries in one ``/api/batch`` trip.
+
+        Per-item semantics match :meth:`query` exactly: cache hits are
+        free, each billed item advances :attr:`queries_issued` by one, and
+        items that draw injected faults are retried (in ever smaller
+        follow-up batches) under stable request ids so the server never
+        bills an item twice.  Against a server that does not advertise the
+        batch capability this degrades to per-query dispatch.
+
+        Raises the first terminal per-item failure by batch position, with
+        every answer obtained (and billed) attached as
+        ``exc.partial_results`` -- a tuple aligned with ``queries`` whose
+        ``None`` holes mark the items that were *not* answered or billed
+        -- so callers can still account for what they paid for.
+        """
+        return self._run(self._batch_flow(list(queries)))
+
+    def server_stats(self) -> dict[str, Any]:
+        """The service's ``/api/stats`` payload (billing counters)."""
+        return self._run(self._request_flow("GET", "/api/stats"))
+
+    def healthz(self) -> dict[str, Any]:
+        """The service's ``/healthz`` payload (liveness + fingerprint).
+
+        Never billed -- this is how a coordinator verifies a backend is
+        alive and serving the expected endpoint identity for free.
+        """
+        return self._run(self._request_flow("GET", "/healthz"))
+
+    def refresh_data_version(self) -> int:
+        """Re-read the endpoint's data version over ``/healthz`` (free).
+
+        Folds the advertised version into the tracked one (dropping the
+        cache on skew) and returns it -- the cheap per-mount staleness
+        probe the coordinator and delta crawls use.
+        """
+        self._note_data_version(self.healthz().get("data_version", 0))
+        return self._data_version
+
+    def mutate(
+        self,
+        ops: Sequence[Mapping[str, Any]] | None = None,
+        *,
+        churn: Mapping[str, Any] | None = None,
+    ) -> dict[str, Any]:
+        """Apply an operator mutation batch via ``POST /api/mutate``.
+
+        Exactly one of ``ops`` (explicit insert/delete/update batch) or
+        ``churn`` (``{"frac": F, "seed": S}``, drawn server-side) must be
+        given.  Unbilled.  Returns the server's ``{"applied",
+        "data_version"}`` payload after folding the new version into the
+        tracked one (which drops the local cache).
+        """
+        if (ops is None) == (churn is None):
+            raise ValueError("exactly one of ops or churn is required")
+        body: dict[str, Any] = (
+            {"ops": list(ops)} if ops is not None else {"churn": dict(churn)}
+        )
+        payload = self._run(self._request_flow("POST", "/api/mutate", body))
+        self._note_data_version(payload.get("data_version", 0))
+        return payload
 
     # ------------------------------------------------------------------
     # client-side telemetry
@@ -606,242 +956,46 @@ class RemoteTopKInterface(QueryClientCore):
         self._local = threading.local()
         self._conns: list[http.client.HTTPConnection] = []
         self._sleep = sleep
-        self._apply_metadata(self._request("GET", "/api/schema"))
+        self._apply_metadata(
+            self._run(self._request_flow("GET", "/api/schema"))
+        )
 
     # ------------------------------------------------------------------
-    # SearchEndpoint surface
+    # transport: a blocking trampoline over thread-local connections
     # ------------------------------------------------------------------
-    def query(self, query: Query) -> QueryResult:
-        """Issue one query over the wire (or answer it from the cache).
-
-        Raises
-        ------
-        UnsupportedQueryError
-            The remote interface rejected the query shape.
-        QueryBudgetExceeded
-            This API key's server-side budget is exhausted.
-        RemoteServiceError
-            The service stayed unreachable/faulty past ``max_retries``.
-        """
-        cached = self._cache_lookup(query)
-        if cached is not None:
-            return cached
-        # One request id per *logical* query, reused across retries: the
-        # server replays an already-billed answer for a seen id, so a
-        # response lost after billing is never billed twice.  Durable
-        # crawls derive the id from the session nonce + canonical query
-        # key, extending the same guarantee across process restarts.
-        payload = self._request(
-            "POST",
-            "/api/query",
-            {"query": encode_query(query)},
-            request_id=self._request_id(query),
-            trace_id=self._trace_id(query),
-        )
-        rows, overflow, sequence = decode_answer(payload)
-        self._count_billed(query)
-        result = QueryResult(
-            query=query, rows=rows, overflow=overflow, sequence=sequence
-        )
-        self._cache_store(query, result)
-        return result
-
-    def batch_query(self, queries: Sequence[Query]) -> tuple[QueryResult, ...]:
-        """Answer several independent queries in one ``/api/batch`` trip.
-
-        Per-item semantics match :meth:`query` exactly: cache hits are
-        free, each billed item advances :attr:`queries_issued` by one, and
-        items that draw injected faults are retried (in ever smaller
-        follow-up batches) under stable request ids so the server never
-        bills an item twice.  Against a server that does not advertise the
-        batch capability this degrades to per-query dispatch.
-
-        Raises the first terminal per-item failure by batch position, with
-        every answer obtained (and billed) attached as
-        ``exc.partial_results`` -- a tuple aligned with ``queries`` whose
-        ``None`` holes mark the items that were *not* answered or billed
-        -- so callers can still account for what they paid for.
-        """
-        queries = list(queries)
-        if not queries:
-            return ()
-        results: list[QueryResult | None] = [None] * len(queries)
-        pending: list[int] = []
-        for index, query in enumerate(queries):
-            cached = self._cache_lookup(query)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
-        if pending and not self._supports_batch:
+    def _run(self, flow: Flow) -> Any:
+        reply = failure = None
+        while True:
             try:
-                for index in pending:
-                    results[index] = self.query(queries[index])
-            except HiddenDBError as exc:
-                exc.partial_results = tuple(results)
-                raise
-            return tuple(results)
-        ids = {index: self._request_id(queries[index]) for index in pending}
-        failures: dict[int, Exception] = {}
-        attempt = 0
-        while pending:
-            retry: list[int] = []
-            retry_after: float | None = None
-            for start in range(0, len(pending), self._max_batch):
-                chunk = pending[start : start + self._max_batch]
-                try:
-                    payload = self._request(
-                        "POST",
-                        "/api/batch",
-                        encode_batch_request(
-                            [queries[i] for i in chunk],
-                            [ids[i] for i in chunk],
-                        ),
-                    )
-                    outcomes = decode_batch_answer(payload, len(chunk))
-                except HiddenDBError as exc:
-                    # Transport failed terminally for this chunk; answers
-                    # from earlier chunks/rounds were already folded into
-                    # ``results`` and must not be lost.
-                    exc.partial_results = tuple(results)
-                    raise
-                except ValueError as exc:
-                    wrapped = RemoteServiceError(
-                        f"malformed batch answer: {exc}"
-                    )
-                    wrapped.partial_results = tuple(results)
-                    raise wrapped from None
-                for index, (status, body) in zip(chunk, outcomes):
-                    if status < 400:
-                        rows, overflow, sequence = decode_answer(body)
-                        result = QueryResult(
-                            query=queries[index],
-                            rows=rows,
-                            overflow=overflow,
-                            sequence=sequence,
-                        )
-                        self._count_billed(queries[index])
-                        self._cache_store(queries[index], result)
-                        results[index] = result
-                        continue
-                    exc = self._classify_payload(status, body)
-                    if isinstance(exc, _Retriable):
-                        self._note_throttle(exc)
-                        if exc.retry_after is not None and (
-                            retry_after is None
-                            or exc.retry_after > retry_after
-                        ):
-                            retry_after = exc.retry_after
-                        retry.append(index)
-                    else:
-                        failures[index] = exc
-            if not retry:
-                break
-            if attempt >= self._max_retries:
-                for index in retry:
-                    failures[index] = RemoteServiceError(
-                        f"batch item still failing after "
-                        f"{self._max_retries} retries",
-                    )
-                break
-            self._count_retry()
-            self._sleep(self._retry_delay(attempt + 1, retry_after))
-            attempt += 1
-            pending = retry
-        if failures:
-            exc = failures[min(failures)]
-            # Aligned-with-holes: billed answers (including ones *after*
-            # the first failing position) stay attached; failed or unsent
-            # items stay None and are the only unbilled slots.
-            exc.partial_results = tuple(results)
-            raise exc
-        return tuple(results)  # type: ignore[return-value]
-
-    def server_stats(self) -> dict[str, Any]:
-        """The service's ``/api/stats`` payload (billing counters)."""
-        return self._request("GET", "/api/stats")
-
-    def healthz(self) -> dict[str, Any]:
-        """The service's ``/healthz`` payload (liveness + fingerprint).
-
-        Never billed -- this is how a coordinator verifies a backend is
-        alive and serving the expected endpoint identity for free.
-        """
-        return self._request("GET", "/healthz")
-
-    def refresh_data_version(self) -> int:
-        """Re-read the endpoint's data version over ``/healthz`` (free).
-
-        Folds the advertised version into the tracked one (dropping the
-        cache on skew) and returns it -- the cheap per-mount staleness
-        probe the coordinator and delta crawls use.
-        """
-        payload = self.healthz()
-        self._note_data_version(
-            {"X-Data-Version": str(payload.get("data_version", 0))}
-        )
-        return self._data_version
-
-    def mutate(
-        self,
-        ops: Sequence[Mapping[str, Any]] | None = None,
-        *,
-        churn: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """Apply an operator mutation batch via ``POST /api/mutate``.
-
-        Exactly one of ``ops`` (explicit insert/delete/update batch) or
-        ``churn`` (``{"frac": F, "seed": S}``, drawn server-side) must be
-        given.  Unbilled.  Returns the server's ``{"applied",
-        "data_version"}`` payload after folding the new version into the
-        tracked one (which drops the local cache).
-        """
-        if (ops is None) == (churn is None):
-            raise ValueError("exactly one of ops or churn is required")
-        body: dict[str, Any] = (
-            {"ops": list(ops)} if ops is not None else {"churn": dict(churn)}
-        )
-        payload = self._request("POST", "/api/mutate", body)
-        self._note_data_version(
-            {"X-Data-Version": str(payload.get("data_version", 0))}
-        )
-        return payload
-
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _request(
-        self,
-        method: str,
-        path: str,
-        body: Mapping[str, Any] | None = None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        last_status: int | None = None
-        last_reason = "unknown error"
-        retry_after: float | None = None
-        for attempt in range(self._max_retries + 1):
-            if attempt:
-                self._count_retry(trace_id=trace_id)
-                self._sleep(self._retry_delay(attempt, retry_after))
+                if failure is None:
+                    effect = flow.send(reply)
+                else:
+                    effect = flow.throw(failure)
+            except StopIteration as done:
+                return done.value
+            reply = failure = None
+            if type(effect) is Sleep:
+                self._sleep(effect.seconds)
+                continue
             try:
-                return self._send(method, path, body, request_id, trace_id)
+                reply = self._exchange(effect)
             except _Retriable as exc:
-                last_status = exc.status
-                last_reason = exc.reason
-                retry_after = exc.retry_after
-                self._note_throttle(exc)
-                if self._observer is not None:
-                    self._observer.client_event(
-                        "fault", trace_id=trace_id, status=exc.status,
-                        path=path,
-                    )
-        raise RemoteServiceError(
-            f"{method} {path} still failing after {self._max_retries} "
-            f"retries: {last_reason}",
-            status=last_status,
-        )
+                failure = exc
+
+    def _exchange(self, send: Send) -> tuple[int, Any, bytes]:
+        """One HTTP round trip on this thread's connection."""
+        try:
+            conn = self._connection()
+            conn.request(
+                send.method, send.path, body=send.body, headers=send.headers
+            )
+            response = conn.getresponse()
+            return response.status, response.headers, response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # Transient transport failure (refused mid-restart, reset,
+            # timeout, half-closed keep-alive): reconnect on retry.
+            self._drop_connection()
+            raise _Retriable(str(exc) or type(exc).__name__, status=None) from None
 
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's persistent keep-alive connection (opened lazily).
@@ -894,79 +1048,6 @@ class RemoteTopKInterface(QueryClientCore):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _send(
-        self,
-        method: str,
-        path: str,
-        body: Mapping[str, Any] | None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        data = None if body is None else json.dumps(body).encode("utf-8")
-        headers = {
-            "Content-Type": "application/json",
-            "X-Api-Key": self._api_key,
-        }
-        if request_id is not None:
-            headers["X-Request-Id"] = request_id
-        if trace_id is not None:
-            headers["X-Trace-Id"] = trace_id
-        if self._observer is not None:
-            self._observer.client_event(
-                "attempt", trace_id=trace_id, path=path
-            )
-        try:
-            conn = self._connection()
-            conn.request(method, path, body=data, headers=headers)
-            response = conn.getresponse()
-            status = response.status
-            raw = response.read()
-            response_headers = response.headers
-        except (OSError, http.client.HTTPException) as exc:
-            # Transient transport failure (refused mid-restart, reset,
-            # timeout, half-closed keep-alive): reconnect on retry.
-            self._drop_connection()
-            raise _Retriable(str(exc) or type(exc).__name__, status=None) from None
-        # Budget headers arrive on error responses too (a 429 reports 0
-        # remaining); record them before classifying the status.
-        self._note_budget(response_headers)
-        self._note_data_version(response_headers)
-        if status >= 400:
-            exc = self._classify(status, raw)
-            if isinstance(exc, _Retriable):
-                hinted = _parse_retry_after(
-                    response_headers.get("Retry-After")
-                )
-                if hinted is not None:
-                    exc.retry_after = hinted
-            raise exc
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise RemoteServiceError(
-                f"malformed response body from {method} {path}: {exc}",
-                status=status,
-            ) from None
-
-class _Retriable(Exception):
-    """Internal: a failure worth another attempt.
-
-    ``retry_after`` carries the server's honest shaping deadline in
-    seconds (header on whole responses, ``retry_after`` body field on
-    batch items), ``None`` when the server named none.
-    """
-
-    def __init__(
-        self,
-        reason: str,
-        status: int | None,
-        retry_after: float | None = None,
-    ) -> None:
-        super().__init__(reason)
-        self.reason = reason
-        self.status = status
-        self.retry_after = retry_after
 
 
 __all__ = ["QueryClientCore", "RemoteServiceError", "RemoteTopKInterface"]

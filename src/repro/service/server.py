@@ -134,6 +134,39 @@ class _QuietThreadingHTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
+#: Seconds between ``serve_forever`` shutdown checks, shared by both
+#: daemons: ``stop()`` waits up to this long, so the stdlib's 0.5 s would
+#: make every stop (and every test teardown) cost about half a second.
+SERVE_POLL_INTERVAL = 0.02
+
+
+class BadRequest(ValueError):
+    """A request body or its framing that the daemon cannot accept."""
+
+
+def read_json_body(handler: BaseHTTPRequestHandler) -> dict[str, Any]:
+    """The request's JSON object body (``{}`` when there is none).
+
+    Raises :class:`BadRequest` on a malformed ``Content-Length`` -- after
+    setting ``close_connection``, since the body's extent is unknown and
+    the connection cannot be reused -- and on a body that is not a JSON
+    object.
+    """
+    declared = (handler.headers.get("Content-Length") or "0").strip()
+    if not (declared.isascii() and declared.isdigit()):
+        handler.close_connection = True
+        raise BadRequest(f"invalid Content-Length {declared!r}")
+    length = int(declared)
+    raw = handler.rfile.read(length) if length else b""
+    try:
+        payload = json.loads(raw.decode("utf-8") or "{}")
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise BadRequest("invalid JSON body") from None
+    if not isinstance(payload, dict):
+        raise BadRequest("invalid JSON body")
+    return payload
+
+
 @dataclass(frozen=True)
 class KeyUsage:
     """Billing state of one API key."""
@@ -463,6 +496,7 @@ class HiddenDBServer:
         self._started = time.monotonic()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(SERVE_POLL_INTERVAL,),
             name=f"repro-service:{self.port}",
             daemon=True,
         )
@@ -1040,15 +1074,6 @@ def _make_handler(server: HiddenDBServer) -> type[BaseHTTPRequestHandler]:
             self.end_headers()
             self.wfile.write(encoded)
 
-        def _read_json(self) -> dict[str, Any] | None:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                payload = json.loads(raw.decode("utf-8") or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return None
-            return payload if isinstance(payload, dict) else None
-
         def _api_key(self) -> str:
             return self.headers.get("X-Api-Key") or ANONYMOUS_KEY
 
@@ -1100,11 +1125,12 @@ def _make_handler(server: HiddenDBServer) -> type[BaseHTTPRequestHandler]:
                 )
 
         def _post(self) -> None:
-            payload = self._read_json()
-            if payload is None:
+            try:
+                payload = read_json_body(self)
+            except BadRequest as exc:
                 self._reply(
                     400,
-                    {"error": "bad_request", "message": "invalid JSON body",
+                    {"error": "bad_request", "message": str(exc),
                      "retriable": False},
                     {},
                 )

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import re
+import socket
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -48,6 +51,35 @@ def make_table(
         )
         attributes.append(Attribute(name, size, InterfaceKind.FILTER))
     return Table(Schema(attributes), matrix, filters)
+
+
+def post_declaring_length(
+    url: str, declared: str, *, timeout: float = 2.0
+) -> tuple[int, dict]:
+    """POST to ``url`` over a raw socket with ``Content-Length: declared``
+    verbatim and no body; read the reply until the server closes.
+
+    Returns the reply's status and JSON body.  A daemon that never answers
+    raises ``socket.timeout``; one that drops the connection without a
+    reply raises ``ValueError``.
+    """
+    split = urllib.parse.urlsplit(url)
+    request = (
+        f"POST {split.path} HTTP/1.1\r\nHost: {split.netloc}\r\n"
+        f"Content-Length: {declared}\r\n\r\n"
+    )
+    with socket.create_connection(
+        (split.hostname, split.port), timeout=timeout
+    ) as sock:
+        sock.sendall(request.encode("latin-1"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line = head.split(b"\r\n", 1)[0].split()
+    if len(status_line) < 2:
+        raise ValueError(f"no HTTP reply, got {reply!r}")
+    return int(status_line[1]), json.loads(body)
 
 
 def truth_values(table: Table) -> frozenset[tuple[int, ...]]:

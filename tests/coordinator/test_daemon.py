@@ -17,6 +17,7 @@ from repro.coordinator import CrawlCoordinator
 from repro.datagen import diamonds_table
 from repro.service import FaultConfig
 
+from ..conftest import post_declaring_length
 from .conftest import delete, get_json, post_json, wait_for_job
 
 K = 5
@@ -241,6 +242,15 @@ class TestRejections:
         assert status == 400
         assert body["error"] == "bad_request"
         assert "budgit" in body["message"]
+
+    @pytest.mark.parametrize("declared", ["-1", "abc"])
+    def test_malformed_content_length_400(self, coordinated, declared):
+        status, body = post_declaring_length(
+            f"{coordinated.url}/api/jobs", declared
+        )
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert get_json(f"{coordinated.url}/api/jobs")[1]["jobs"] == []
 
     def test_unknown_algorithm_400(self, coordinated):
         status, body = post_json(

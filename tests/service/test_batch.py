@@ -144,10 +144,10 @@ class TestServerBatchRoute:
 
 
 class TestClientBatchQuery:
-    def test_batch_results_match_per_query_dispatch(self, serve):
+    def test_batch_results_match_per_query_dispatch(self, serve, make_client):
         table = TABLES["rq3"]
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(server.url, api_key="client")
+        remote = make_client(server.url, api_key="client")
         assert remote.supports_batch
         queries = sample_queries(4)
         batched = remote.batch_query(queries)
@@ -160,13 +160,13 @@ class TestClientBatchQuery:
         assert remote.queries_issued == len(queries)
 
     def test_batch_retries_faulted_items_without_double_billing(
-        self, serve, no_sleep
+        self, serve, no_sleep, make_client
     ):
         table = TABLES["rq3"]
         server = serve(
             table, k=5, faults=FaultConfig(error_rate=0.4, seed=1)
         )
-        remote = RemoteTopKInterface(
+        remote = make_client(
             server.url, api_key="flaky", max_retries=50, sleep=no_sleep
         )
         queries = sample_queries(4)
@@ -177,10 +177,12 @@ class TestClientBatchQuery:
         assert server.stats().usage("flaky").issued == 4
         assert server.stats().faults_injected > 0
 
-    def test_budget_exhaustion_raises_after_accounting(self, serve):
+    def test_budget_exhaustion_raises_after_accounting(
+        self, serve, make_client
+    ):
         table = TABLES["rq3"]
         server = serve(table, k=5, key_budget=2)
-        remote = RemoteTopKInterface(server.url, api_key="broke")
+        remote = make_client(server.url, api_key="broke")
         with pytest.raises(QueryBudgetExceeded):
             remote.batch_query(sample_queries(4))
         # The two items answered before exhaustion were still billed and
@@ -188,10 +190,10 @@ class TestClientBatchQuery:
         assert remote.queries_issued == 2
         assert server.stats().usage("broke").issued == 2
 
-    def test_cache_hits_skip_the_wire(self, serve):
+    def test_cache_hits_skip_the_wire(self, serve, make_client):
         table = TABLES["rq3"]
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(
+        remote = make_client(
             server.url, api_key="cached", cache_size=64
         )
         queries = sample_queries(3)
@@ -202,10 +204,10 @@ class TestClientBatchQuery:
         assert remote.cache_hits == 3
         assert server.stats().usage("cached").issued == 3
 
-    def test_fallback_to_per_query_dispatch(self, serve):
+    def test_fallback_to_per_query_dispatch(self, serve, make_client):
         table = TABLES["rq3"]
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(server.url, api_key="fallback")
+        remote = make_client(server.url, api_key="fallback")
         remote._supports_batch = False  # as if the server were pre-batch
         queries = sample_queries(3)
         results = remote.batch_query(queries)
@@ -213,12 +215,14 @@ class TestClientBatchQuery:
         assert remote.queries_issued == 3
         assert server.stats().usage("fallback").issued == 3
 
-    def test_fallback_failure_attaches_partial_results(self, serve):
+    def test_fallback_failure_attaches_partial_results(
+        self, serve, make_client
+    ):
         # Regression: the per-query fallback must carry already-billed
         # answers on the raised exception, like the batched path does.
         table = TABLES["rq3"]
         server = serve(table, k=5, key_budget=2)
-        remote = RemoteTopKInterface(server.url, api_key="fb-broke")
+        remote = make_client(server.url, api_key="fb-broke")
         remote._supports_batch = False
         with pytest.raises(QueryBudgetExceeded) as excinfo:
             remote.batch_query(sample_queries(4))

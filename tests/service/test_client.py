@@ -59,9 +59,11 @@ class TestEndpointSurface:
 
 
 class TestErrorMapping:
-    def test_budget_exceeded_maps_to_exception(self, serve, table):
+    def test_budget_exceeded_maps_to_exception(
+        self, make_client, serve, table
+    ):
         server = serve(table, k=1, key_budget=2)
-        remote = RemoteTopKInterface(server.url, api_key="crawler")
+        remote = make_client(server.url, api_key="crawler")
         remote.query(Query.select_all())
         remote.query(Query.select_all())
         with pytest.raises(QueryBudgetExceeded) as err:
@@ -71,21 +73,23 @@ class TestErrorMapping:
         assert remote.queries_issued == 2
         assert server.stats().usage("crawler").issued == 2
 
-    def test_unsupported_query_maps_to_exception(self, serve):
+    def test_unsupported_query_maps_to_exception(self, make_client, serve):
         pq = make_table([(1, 1)], kinds=InterfaceKind.PQ, domain=10)
         server = serve(pq, k=1)
-        remote = RemoteTopKInterface(server.url)
+        remote = make_client(server.url)
         with pytest.raises(UnsupportedQueryError):
             remote.query(Query.select_all().and_upper(0, 5))
         assert remote.queries_issued == 0
 
 
 class TestRetries:
-    def test_retries_absorb_injected_faults(self, serve, table, no_sleep):
+    def test_retries_absorb_injected_faults(
+        self, make_client, serve, table, no_sleep
+    ):
         server = serve(
             table, k=2, faults=FaultConfig(error_rate=0.5, seed=3)
         )
-        remote = RemoteTopKInterface(
+        remote = make_client(
             server.url, max_retries=50, sleep=no_sleep
         )
         local = TopKInterface(table, k=2)
@@ -96,9 +100,11 @@ class TestRetries:
         # Injected faults are never billed.
         assert server.stats().queries_total == 10
 
-    def test_gives_up_after_max_retries(self, serve, table, no_sleep):
+    def test_gives_up_after_max_retries(
+        self, make_client, serve, table, no_sleep
+    ):
         server = serve(table, faults=FaultConfig(error_rate=1.0, seed=0))
-        remote = RemoteTopKInterface(
+        remote = make_client(
             server.url, max_retries=3, sleep=no_sleep
         )
         with pytest.raises(RemoteServiceError) as err:
@@ -107,37 +113,39 @@ class TestRetries:
         assert remote.retries == 3
 
     def test_retries_reuse_one_request_id_per_logical_query(
-        self, serve, table, no_sleep, monkeypatch
+        self, serve, table, no_sleep, monkeypatch, client_cls, make_client
     ):
         # All attempts of one query() must share an X-Request-Id (so the
         # server can dedup billing), and distinct queries must use new ids.
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, max_retries=5, sleep=no_sleep)
+        remote = make_client(server.url, max_retries=5, sleep=no_sleep)
         seen: list[str | None] = []
-        original = RemoteTopKInterface._send
+        original = client_cls._exchange
         failed_once = []
 
-        def flaky_send(self, method, path, body, request_id=None, trace_id=None):
-            if path == "/api/query":
-                seen.append(request_id)
+        def flaky_exchange(self, send):
+            if send.path == "/api/query":
+                seen.append(send.headers.get("X-Request-Id"))
                 if not failed_once:
                     failed_once.append(True)
                     from repro.service.client import _Retriable
 
                     raise _Retriable("simulated lost response", status=None)
-            return original(self, method, path, body, request_id, trace_id)
+            return original(self, send)
 
-        monkeypatch.setattr(RemoteTopKInterface, "_send", flaky_send)
+        monkeypatch.setattr(client_cls, "_exchange", flaky_exchange)
         remote.query(Query.select_all())
         remote.query(Query.select_all().and_upper(0, 5))
         assert len(seen) == 3  # two attempts for query 1, one for query 2
         assert seen[0] is not None and seen[0] == seen[1]
         assert seen[2] is not None and seen[2] != seen[0]
 
-    def test_backoff_schedule_is_exponential_and_capped(self, serve, table):
+    def test_backoff_schedule_is_exponential_and_capped(
+        self, make_client, serve, table
+    ):
         server = serve(table, faults=FaultConfig(error_rate=1.0, seed=0))
         slept: list[float] = []
-        remote = RemoteTopKInterface(
+        remote = make_client(
             server.url, max_retries=5, backoff=0.1, backoff_cap=0.4,
             sleep=slept.append,
         )
@@ -147,9 +155,9 @@ class TestRetries:
 
 
 class TestQueryCache:
-    def test_cache_hits_are_free(self, serve, table):
+    def test_cache_hits_are_free(self, make_client, serve, table):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, cache_size=16)
+        remote = make_client(server.url, cache_size=16)
         query = Query.select_all().and_upper(0, 5)
         first = remote.query(query)
         second = remote.query(query)
@@ -158,17 +166,17 @@ class TestQueryCache:
         assert remote.cache_hits == 1
         assert server.stats().queries_total == 1
 
-    def test_distinct_queries_are_billed(self, serve, table):
+    def test_distinct_queries_are_billed(self, make_client, serve, table):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, cache_size=16)
+        remote = make_client(server.url, cache_size=16)
         remote.query(Query.select_all())
         remote.query(Query.select_all().and_upper(0, 5))
         assert remote.queries_issued == 2
         assert remote.cache_hits == 0
 
-    def test_lru_eviction(self, serve, table):
+    def test_lru_eviction(self, make_client, serve, table):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, cache_size=1)
+        remote = make_client(server.url, cache_size=1)
         a = Query.select_all()
         b = Query.select_all().and_upper(0, 5)
         remote.query(a)
@@ -179,17 +187,17 @@ class TestQueryCache:
         remote.query(a)  # hit
         assert remote.cache_hits == 1
 
-    def test_clear_cache(self, serve, table):
+    def test_clear_cache(self, make_client, serve, table):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, cache_size=16)
+        remote = make_client(server.url, cache_size=16)
         remote.query(Query.select_all())
         remote.clear_cache()
         remote.query(Query.select_all())
         assert remote.queries_issued == 2
 
-    def test_cache_disabled_by_default(self, serve, table):
+    def test_cache_disabled_by_default(self, make_client, serve, table):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url)
+        remote = make_client(server.url)
         remote.query(Query.select_all())
         remote.query(Query.select_all())
         assert remote.queries_issued == 2
@@ -197,16 +205,18 @@ class TestQueryCache:
 
 
 class TestTelemetry:
-    def test_budget_remaining_tracks_headers(self, serve, table):
+    def test_budget_remaining_tracks_headers(self, make_client, serve, table):
         server = serve(table, k=1, key_budget=3)
-        remote = RemoteTopKInterface(server.url)
+        remote = make_client(server.url)
         assert remote.budget_remaining is None  # schema route has no header
         remote.query(Query.select_all())
         assert remote.budget_remaining == 2
 
-    def test_budget_remaining_reaches_zero_on_exhaustion(self, serve, table):
+    def test_budget_remaining_reaches_zero_on_exhaustion(
+        self, make_client, serve, table
+    ):
         server = serve(table, k=1, key_budget=1)
-        remote = RemoteTopKInterface(server.url)
+        remote = make_client(server.url)
         remote.query(Query.select_all())
         with pytest.raises(QueryBudgetExceeded):
             remote.query(Query.select_all())
@@ -214,9 +224,9 @@ class TestTelemetry:
         # leftover budget on an exhausted key.
         assert remote.budget_remaining == 0
 
-    def test_server_stats_accessor(self, serve, table):
+    def test_server_stats_accessor(self, make_client, serve, table):
         server = serve(table, k=1)
-        remote = RemoteTopKInterface(server.url, api_key="me")
+        remote = make_client(server.url, api_key="me")
         remote.query(Query.select_all())
         stats = remote.server_stats()
         assert stats["keys"]["me"]["issued"] == 1
@@ -229,6 +239,6 @@ class TestTelemetry:
             remote.query(Query.select_all())
             assert remote.queries_issued == 2
 
-    def test_rejects_malformed_url(self):
+    def test_rejects_malformed_url(self, make_client):
         with pytest.raises(ValueError):
-            RemoteTopKInterface("127.0.0.1:8080")
+            make_client("127.0.0.1:8080")

@@ -13,7 +13,7 @@ from repro.service import FaultConfig, FaultInjector
 from repro.service.wire import encode_query
 from repro.hiddendb.query import Query
 
-from ..conftest import make_table
+from ..conftest import make_table, post_declaring_length
 
 
 def get(url: str):
@@ -121,6 +121,16 @@ class TestQueryRoute:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("declared", ["-1", "abc"])
+    def test_malformed_content_length_is_400(self, serve, table, declared):
+        server = serve(table)
+        status, body = post_declaring_length(
+            server.url + "/api/query", declared
+        )
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert server.stats().queries_total == 0
 
     def test_repeated_request_id_is_replayed_not_rebilled(self, serve, table):
         # A client that lost the response retries the same X-Request-Id;
